@@ -12,8 +12,8 @@
 // Methodology (docs/EXPERIMENTS.md): traffic is generated per port, so the
 // staged shards feed run_partitioned() directly — no partition pass in the
 // timed region — and each timed run drains a fresh ShardedSystem from
-// pre-copied shards. The timer covers exactly the parallel section: worker
-// drains plus the caller-thread epoch merge of the default 4 ms handoff.
+// pre-copied shards. The timer covers exactly the parallel section: the
+// worker drains and their join (nothing is merged across shards).
 // Accuracy columns must be bit-identical across every thread count (the
 // determinism contract); the speedup headline `shard_scaling_8t_x` is
 // gated in CI against bench/baselines/port_parallelism_baseline.json.
@@ -92,8 +92,8 @@ control::ShardedSystem::Config system_config(const PortSetup& setup) {
 }
 
 /// Runs one configuration: copies the staged shards outside the timer,
-/// then times exactly sys.run_partitioned() — worker drains plus the
-/// caller-thread epoch merge. Fills accuracy from port 0.
+/// then times exactly sys.run_partitioned() — the worker drains and the
+/// final checkpoint. Fills accuracy from port 0.
 Row run_setup(const PortSetup& setup,
               const std::vector<std::vector<Packet>>& shards,
               unsigned threads, std::uint32_t batch, std::size_t max_victims) {

@@ -1,14 +1,13 @@
 // Bounded lock-free single-producer/single-consumer ring buffer — the
-// handoff primitive underneath the epoch-batched shard merge
-// (sim/epoch_handoff.h) and the pq_serve ingest path (serve/ingest_queue.h).
+// handoff primitive underneath the pq_serve ingest path
+// (serve/ingest_queue.h).
 //
 // Exactly one thread may push and exactly one thread may pop; any number of
 // threads may observe size()/closed(). The producer publishes an element
 // with a release store of the head index and the consumer acquires it, so
 // the element's bytes are visible before its slot is claimable — the whole
 // synchronisation cost per element is one relaxed load plus one
-// release/acquire pair, versus a mutex+condvar round trip on the old
-// handoff (bench/micro_handoff.cpp measures the difference).
+// release/acquire pair, versus a mutex+condvar round trip.
 //
 // The ring never grows: a full ring is the caller's backpressure signal.
 // Blocking helpers (push_wait / pop_wait) spin briefly and then sleep in

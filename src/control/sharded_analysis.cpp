@@ -19,74 +19,6 @@ ShardedAnalysis::ShardedAnalysis(core::ShardedPipeline& pipeline,
       programs_.back()->set_read_faults(faults->read_faults(shard.egress_port()));
     }
   }
-  dq_cursors_.assign(programs_.size(), 0);
-  shard_health_.assign(programs_.size(), HealthStats{});
-  epoch_hooks_.seal = [this](std::uint32_t shard, const sim::EpochSeal& s) {
-    return seal_epoch(shard, s);
-  };
-  epoch_hooks_.ready = [this](std::uint64_t epoch,
-                              const std::vector<std::shared_ptr<void>>& sides,
-                              bool /*last_epoch*/) {
-    epoch_ready(epoch, sides);
-  };
-}
-
-void ShardedAnalysis::begin_epoch_run() {
-  for (std::uint32_t i = 0; i < programs_.size(); ++i) {
-    dq_cursors_[i] = program_unchecked(i).dq_captures(0).size();
-    shard_health_[i] = program_unchecked(i).health();
-  }
-  merged_dq_.clear();
-  epochs_merged_ = 0;
-}
-
-std::shared_ptr<void> ShardedAnalysis::seal_epoch(std::uint32_t shard,
-                                                  const sim::EpochSeal&) {
-  // Worker side: runs on the thread that owns `shard`, right after the
-  // engine advanced the port to the boundary and flushed the hook batch, so
-  // the captures below are exactly this epoch's firings. Everything the
-  // consumer will touch is copied here.
-  auto side = std::make_shared<EpochSidecar>();
-  const auto& captures = program_unchecked(shard).dq_captures(0);
-  side->dqs.reserve(captures.size() - dq_cursors_[shard]);
-  for (std::size_t seq = dq_cursors_[shard]; seq < captures.size(); ++seq) {
-    ShardDq d;
-    d.global_prefix = shard;
-    d.seq = seq;
-    d.notification = captures[seq].notification;
-    d.notification.port_prefix = shard;
-    side->dqs.push_back(d);
-  }
-  dq_cursors_[shard] = captures.size();
-  side->health = program_unchecked(shard).health();
-  return side;
-}
-
-void ShardedAnalysis::epoch_ready(
-    std::uint64_t, const std::vector<std::shared_ptr<void>>& sidecars) {
-  // Consumer side: one epoch's sidecars in shard order. Each shard's DQs
-  // are in firing order and every timestamp lies in this epoch's span, so
-  // appending in shard order and stable-sorting the appended span on the
-  // timestamp alone extends the (deq_timestamp, shard, firing order) merge.
-  const std::size_t base = merged_dq_.size();
-  for (std::uint32_t s = 0; s < sidecars.size(); ++s) {
-    if (sidecars[s] == nullptr) continue;
-    const auto& side = *static_cast<const EpochSidecar*>(sidecars[s].get());
-    merged_dq_.insert(merged_dq_.end(), side.dqs.begin(), side.dqs.end());
-    shard_health_[s] = side.health;
-  }
-  std::stable_sort(merged_dq_.begin() + static_cast<std::ptrdiff_t>(base),
-                   merged_dq_.end(), [](const ShardDq& a, const ShardDq& b) {
-                     return a.notification.deq_timestamp <
-                            b.notification.deq_timestamp;
-                   });
-  ++epochs_merged_;
-}
-
-HealthStats ShardedAnalysis::epoch_health() const {
-  HealthStats total;
-  for (const auto& h : shard_health_) total += h;
-  return total;
 }
 
 void ShardedAnalysis::finalize(Timestamp end_time) {
@@ -102,18 +34,11 @@ std::vector<std::pair<FlowId, double>> ShardedAnalysis::top_culprits(
 std::vector<ShardedAnalysis::ShardDq> ShardedAnalysis::merged_dq_notifications()
     const {
   std::size_t total = 0;
-  for (std::uint32_t i = 0; i < programs_.size(); ++i) {
-    total += program_unchecked(i).dq_captures(0).size();
-  }
-  // An epoch-handoff run assembled the stream while the shards drained;
-  // serve it when it covers every capture (it won't after a legacy run, a
-  // second run on the same system, or captures fired during finalize).
-  if (!merged_dq_.empty() && merged_dq_.size() == total) return merged_dq_;
-
+  for (const auto& p : programs_) total += p->dq_captures(0).size();
   std::vector<ShardDq> merged;
   merged.reserve(total);
   for (std::uint32_t i = 0; i < programs_.size(); ++i) {
-    const auto& captures = program_unchecked(i).dq_captures(0);
+    const auto& captures = programs_[i]->dq_captures(0);
     for (std::uint64_t seq = 0; seq < captures.size(); ++seq) {
       ShardDq d;
       d.global_prefix = i;
@@ -153,7 +78,7 @@ std::uint64_t ShardedAnalysis::bytes_polled() const {
 }
 
 ShardedSystem::ShardedSystem(Config cfg)
-    : engine_(cfg.ports), pipeline_(cfg.pipeline), epoch_ns_(cfg.epoch_ns) {
+    : engine_(cfg.ports), pipeline_(cfg.pipeline) {
   if (cfg.faults.has_value()) {
     faults_ = std::make_unique<faults::ShardedFaultPlan>(*cfg.faults);
   }
@@ -169,7 +94,6 @@ ShardedSystem::ShardedSystem(Config cfg)
   engine_.set_forwarding([](const Packet& p) { return p.egress_hint; });
   analysis_ = std::make_unique<ShardedAnalysis>(pipeline_, cfg.analysis,
                                                 faults_.get());
-  engine_.set_epoch_hooks(&analysis_->epoch_hooks());
 }
 
 void ShardedSystem::run(std::vector<Packet> packets, unsigned threads,
@@ -179,14 +103,12 @@ void ShardedSystem::run(std::vector<Packet> packets, unsigned threads,
 
 void ShardedSystem::run(std::vector<Packet> packets,
                         const sim::ShardedEngine::RunOptions& opts) {
-  if (opts.epoch_ns > 0) analysis_->begin_epoch_run();
   engine_.run(std::move(packets), opts);
   finalize_run();
 }
 
 void ShardedSystem::run_partitioned(std::vector<std::vector<Packet>> shards,
                                     const sim::ShardedEngine::RunOptions& opts) {
-  if (opts.epoch_ns > 0) analysis_->begin_epoch_run();
   engine_.run_partitioned(std::move(shards), opts);
   finalize_run();
 }

@@ -85,31 +85,9 @@ class ShardedAnalysis {
   };
 
   /// Every shard's data-plane-query notifications merged in dequeue-
-  /// timestamp order (ties: shard index, then firing order). An
-  /// epoch-handoff run builds this incrementally while shards drain; the
-  /// call falls back to the end-of-run merge whenever the incremental view
-  /// does not cover every capture the shards hold.
+  /// timestamp order (ties: shard index, then firing order), merged on
+  /// each call from the shards' capture lists.
   std::vector<ShardDq> merged_dq_notifications() const;
-
-  // --- Epoch-batched handoff (sim/epoch_handoff.h) ---
-
-  /// Callbacks the engine drives when a run sets epoch_ns > 0. The seal
-  /// side runs on the worker that owns the shard and snapshots the DQ
-  /// captures fired this epoch plus the shard's cumulative HealthStats into
-  /// the chunk's sidecar; the ready side runs on the run() caller thread
-  /// and folds them into the merged views — so by the time the workers
-  /// join, merged_dq_notifications() is already assembled. Stable for the
-  /// life of this object; pass to ShardedEngine::set_epoch_hooks.
-  const sim::EpochHooks& epoch_hooks() const { return epoch_hooks_; }
-
-  /// Resets the incremental cursors/views for a new epoch-handoff run.
-  /// ShardedSystem calls this before every such run; harmless otherwise.
-  void begin_epoch_run();
-
-  /// Epochs merged by the current/last epoch-handoff run (0 on the legacy
-  /// path) and the health aggregate as of the last merged epoch.
-  std::uint64_t epochs_merged() const { return epochs_merged_; }
-  HealthStats epoch_health() const;
 
   /// Shard-local HealthStats aggregated over all shards.
   HealthStats health() const;
@@ -118,37 +96,11 @@ class ShardedAnalysis {
   std::uint64_t bytes_polled() const;
 
  private:
-  /// What one shard packs into a RecordChunk sidecar at seal time: copies
-  /// only, so the consumer thread never touches live shard state.
-  struct EpochSidecar {
-    std::vector<ShardDq> dqs;  ///< fired this epoch, firing order
-    HealthStats health;        ///< shard-cumulative as of the seal
-  };
-
-  const AnalysisProgram& program_unchecked(std::uint32_t i) const {
-    return *programs_[i];
-  }
-  std::shared_ptr<void> seal_epoch(std::uint32_t shard,
-                                   const sim::EpochSeal& seal);
-  void epoch_ready(std::uint64_t epoch,
-                   const std::vector<std::shared_ptr<void>>& sidecars);
-
   core::ShardedPipeline& pipe_;
   std::vector<std::unique_ptr<AnalysisProgram>> programs_;
   /// Mutable: queries are logically const reads; the coordinator issues
   /// them from one thread (the shard workers never touch this).
   mutable obs::Histogram query_ns_;
-
-  sim::EpochHooks epoch_hooks_;
-  /// Per shard, captures already sealed into some epoch; only the worker
-  /// draining the shard touches its slot (same ownership rule as the
-  /// shard's registers).
-  std::vector<std::size_t> dq_cursors_;
-  /// Consumer-thread state: the incrementally merged DQ stream and the
-  /// latest cumulative HealthStats seen from each shard.
-  std::vector<ShardDq> merged_dq_;
-  std::vector<HealthStats> shard_health_;
-  std::uint64_t epochs_merged_ = 0;
 };
 
 /// Everything a port-sharded run needs, wired: engine + shards + per-shard
@@ -163,10 +115,8 @@ class ShardedSystem {
     AnalysisConfig analysis;
     /// Nullopt disables fault injection entirely.
     std::optional<faults::FaultPlanConfig> faults;
-    /// Simulated-time epoch for the incremental shard handoff; the default
-    /// seals every 4 ms of simulated time. 0 restores the legacy
-    /// end-of-run merge barrier. Results are byte-identical either way —
-    /// the epoch size is a scheduling knob (docs/ARCHITECTURE.md §8).
+    /// Ignored: runs are not cut into epochs. Kept only because perfbench/
+    /// still sets it.
     Duration epoch_ns = 4'000'000;
   };
 
@@ -179,8 +129,7 @@ class ShardedSystem {
   void run(std::vector<Packet> packets, unsigned threads = 1,
            std::uint32_t batch = 1);
 
-  /// Same, with full control of the execution knobs. opts.epoch_ns
-  /// overrides Config::epoch_ns for this run.
+  /// Same, with full control of the execution knobs.
   void run(std::vector<Packet> packets,
            const sim::ShardedEngine::RunOptions& opts);
 
@@ -195,7 +144,6 @@ class ShardedSystem {
     sim::ShardedEngine::RunOptions opts;
     opts.threads = threads;
     opts.batch = batch;
-    opts.epoch_ns = epoch_ns_;
     return opts;
   }
 
@@ -215,7 +163,6 @@ class ShardedSystem {
   core::ShardedPipeline pipeline_;
   std::unique_ptr<faults::ShardedFaultPlan> faults_;
   std::unique_ptr<ShardedAnalysis> analysis_;
-  Duration epoch_ns_ = 0;
 };
 
 }  // namespace pq::control

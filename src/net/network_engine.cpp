@@ -51,7 +51,6 @@ NetworkEngine::NetworkEngine(NetworkConfig cfg) : cfg_(std::move(cfg)) {
     node.pipeline = cfg_.node.pipeline;
     node.analysis = cfg_.node.analysis;
     node.faults = cfg_.node.faults;
-    node.epoch_ns = cfg_.node.epoch_ns;
     nodes_.push_back(std::make_unique<control::ShardedSystem>(std::move(node)));
   }
 }
@@ -61,7 +60,6 @@ void NetworkEngine::run(std::vector<Injection> injections, unsigned threads,
   sim::ShardedEngine::RunOptions opts;
   opts.threads = threads;
   opts.batch = batch;
-  opts.epoch_ns = cfg_.node.epoch_ns;
   run(std::move(injections), opts);
 }
 

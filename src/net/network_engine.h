@@ -50,6 +50,8 @@ struct NodeConfig {
   /// ShardedFaultPlan from this seed, so per-switch schedules match what
   /// the same switch would produce standalone).
   std::optional<faults::FaultPlanConfig> faults;
+  /// Ignored: runs are not cut into epochs. Kept only because perfbench/
+  /// still sets it.
   Duration epoch_ns = 4'000'000;
   /// Depth-series collection on the telemetry ports (off by default:
   /// network runs multiply ports, and the series is a memory hog).

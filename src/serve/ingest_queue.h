@@ -7,8 +7,7 @@
 //
 // Exactly one producer (the feed pump) and one consumer (the shard worker)
 // touch the data path, so this sits directly on the lock-free SPSC ring
-// (common/spsc_queue.h) — the same handoff primitive the sharded engine's
-// epoch merge uses — instead of the old mutex + two condvars. Per record
+// (common/spsc_queue.h) instead of the old mutex + two condvars. Per record
 // the handoff is one release/acquire pair; observers (watchdog, metrics)
 // read depth/peak/shed from atomics without ever blocking an absorb.
 #pragma once

@@ -78,15 +78,11 @@ class EgressPort {
   void drain();
 
   /// Executes every departure scheduled at or before `horizon` and moves the
-  /// port clock up to it (never backwards). The epoch-handoff seal point:
-  /// after this call the set of emitted records with deq timestamp <=
-  /// horizon is final, on every shard, regardless of what arrives later.
+  /// port clock up to it (never backwards). After this call the set of
+  /// emitted records with deq timestamp <= horizon is final, regardless of
+  /// what arrives later — the network transport pass (net/network_engine)
+  /// steps every port to each global-virtual-time horizon with it.
   void advance_to(Timestamp horizon);
-
-  /// Delivers any buffered hook batch now (no-op in scalar mode). Safe at
-  /// any point — PrintQueue's batch absorption is split-invariant
-  /// (docs/ARCHITECTURE.md §10), so an extra flush never changes results.
-  void flush_hooks() { flush_hook_batch(); }
 
   /// True when nothing is queued awaiting dequeue.
   bool queue_empty() const;

@@ -6,7 +6,6 @@
 #include <cassert>
 #include <exception>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -234,40 +233,19 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
       1u, std::min<unsigned>(opts.threads,
                              static_cast<unsigned>(ports_.size())));
   worker_cpus_.assign(workers, -1);
-  // Incremental merge covers exactly this run; merged_records() falls back
-  // to the end-of-run sort whenever that doesn't span everything the ports
-  // hold (legacy runs, epoch_ns == 0, engines run more than once).
-  merged_.clear();
-  const bool epochs = opts.epoch_ns > 0;
-
   if (workers == 1) {
-    if (epochs) {
-      EpochCollector collector(ports_.size(), /*concurrent=*/false, merged_,
-                               epoch_hooks_);
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        drain_shard_epochs(p, shards[p], opts, collector);
-      }
-      collector.finish();
-    } else {
-      for (std::size_t p = 0; p < ports_.size(); ++p) {
-        drain_shard(p, shards[p], opts.batch);
-      }
+    for (std::size_t p = 0; p < ports_.size(); ++p) {
+      drain_shard(p, shards[p], opts.batch);
     }
     return;
   }
 
   // Work-stealing over shard indices: shards are mutually independent, so
   // the claim order (the only scheduling nondeterminism) cannot affect any
-  // shard's result. While workers drain, the caller thread consumes sealed
-  // epoch chunks and performs the deterministic merge; exceptions are
-  // rethrown on the caller thread after the join.
-  std::optional<EpochCollector> collector;
-  if (epochs) {
-    collector.emplace(ports_.size(), /*concurrent=*/true, merged_,
-                      epoch_hooks_);
-  }
+  // shard's result. A worker that throws keeps claiming shards, so every
+  // shard is still drained; the first exception is rethrown on the caller
+  // thread after the join.
   std::atomic<std::size_t> next{0};
-  std::atomic<unsigned> active{workers};
   std::mutex err_mu;
   std::exception_ptr err;
   auto worker = [&](unsigned t) {
@@ -276,31 +254,18 @@ void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
          p < ports_.size();
          p = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
-        if (epochs) {
-          drain_shard_epochs(p, shards[p], opts, *collector);
-        } else {
-          drain_shard(p, shards[p], opts.batch);
-        }
+        drain_shard(p, shards[p], opts.batch);
       } catch (...) {
         const std::lock_guard<std::mutex> lock(err_mu);
         if (!err) err = std::current_exception();
       }
     }
-    active.fetch_sub(1, std::memory_order_release);
   };
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-  if (epochs) {
-    // Consume until every producer exited; this also keeps the bounded
-    // queues moving, so a worker can never block forever in publish().
-    while (active.load(std::memory_order_acquire) > 0) {
-      if (!collector->poll()) std::this_thread::yield();
-    }
-  }
   for (auto& t : pool) t.join();
   if (err) std::rethrow_exception(err);
-  if (epochs) collector->finish();
 }
 
 void ShardedEngine::drain_shard(std::size_t p, const std::vector<Packet>& shard,
@@ -315,72 +280,9 @@ void ShardedEngine::drain_shard(std::size_t p, const std::vector<Packet>& shard,
   drain_ns_[p] += watch.elapsed_ns();
 }
 
-void ShardedEngine::drain_shard_epochs(std::size_t p,
-                                       const std::vector<Packet>& shard,
-                                       const RunOptions& opts,
-                                       EpochCollector& collector) {
-  const obs::StopwatchNs watch;
-  EgressPort& port = *ports_[p];
-  port.set_hook_batch(opts.batch);
-  const Duration step = opts.epoch_ns;
-  std::uint64_t epoch = 0;
-  Timestamp boundary = static_cast<Timestamp>(step);
-  std::size_t cursor = port.records().size();
-
-  // Seal everything that departed since the last seal. Epoch e holds the
-  // departures with timestamp in (e*step, (e+1)*step] (epoch 0 also covers
-  // t = 0) — advance_to(boundary) has executed all of them and nothing
-  // later, on every shard, which is what makes the consumer's per-epoch
-  // merge reproduce the global dequeue-order sort.
-  auto seal = [&](bool final_seal, Timestamp at) {
-    RecordChunk chunk;
-    chunk.epoch = epoch;
-    chunk.final_chunk = final_seal;
-    const auto& recs = port.records();
-    chunk.records.assign(recs.begin() + static_cast<std::ptrdiff_t>(cursor),
-                         recs.end());
-    cursor = recs.size();
-    if (epoch_hooks_ != nullptr && epoch_hooks_->seal) {
-      chunk.sidecar = epoch_hooks_->seal(
-          static_cast<std::uint32_t>(p), EpochSeal{epoch, at, final_seal});
-    }
-    collector.publish(static_cast<std::uint32_t>(p), std::move(chunk));
-    ++epoch;
-  };
-
-  for (const auto& pkt : shard) {
-    // Strictly greater: a packet arriving exactly at the boundary may still
-    // depart at the boundary (dequeue precedes enqueue on ties), and that
-    // departure belongs to the epoch being sealed — offer() emits it before
-    // the seal below runs.
-    while (pkt.arrival_ns > boundary) {
-      port.advance_to(boundary);
-      port.flush_hooks();
-      seal(false, boundary);
-      boundary += static_cast<Timestamp>(step);
-    }
-    port.offer(pkt);
-  }
-  while (!port.queue_empty()) {
-    port.advance_to(boundary);
-    port.flush_hooks();
-    seal(false, boundary);
-    boundary += static_cast<Timestamp>(step);
-  }
-  // The queue is empty, so the final chunk never carries records; it is the
-  // shard's end-of-stream marker and carries the control layer's final
-  // sidecar (finalize-time state).
-  port.drain();
-  seal(true, boundary);
-  drain_ns_[p] += watch.elapsed_ns();
-}
-
 std::vector<wire::TelemetryRecord> ShardedEngine::merged_records() const {
   std::size_t total = 0;
   for (const auto& p : ports_) total += p->records().size();
-  // An epoch-handoff run already merged everything incrementally.
-  if (!merged_.empty() && merged_.size() == total) return merged_;
-
   std::vector<wire::TelemetryRecord> all;
   all.reserve(total);
   for (const auto& p : ports_) {

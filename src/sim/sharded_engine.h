@@ -1,25 +1,19 @@
-// Port-sharded execution engine: the parallel replacement for the old
-// monolithic Switch::run loop.
+// Port-sharded execution engine: forwarding plus one EgressPort per output,
+// queued per egress port as in the paper's architecture (Fig. 3).
 //
 // On real hardware every egress port's pipeline is an independent unit; the
 // simulator mirrors that. The engine partitions an arrival-ordered packet
 // vector by the forwarding decision (one shard per egress port, preserving
-// per-port arrival order) and drains each shard on a worker from a small
-// thread pool. Shards share no mutable state — each worker touches exactly
-// one EgressPort and the hooks registered on it — so the per-port outputs
-// are byte-identical for any thread count, including 1.
+// per-port arrival order) on a small worker pool, then drains each shard
+// start to finish on a worker from that pool. Shards share no mutable state
+// — each worker touches exactly one EgressPort and the hooks registered on
+// it — so the per-port outputs are byte-identical for any thread count,
+// including 1. Drivers that already hold per-port streams skip the
+// partition via run_partitioned().
 //
-// Two things used to keep threads from paying off, and both are gone:
-//   - staging was serial (one pass over every packet on the caller thread,
-//     plus a redundant sort). Partitioning now runs on the worker pool
-//     (two-pass count/scatter, byte-identical shards), and drivers that
-//     already hold per-port streams skip it entirely via run_partitioned().
-//   - cross-shard views were produced at an end-of-run merge barrier. With
-//     RunOptions::epoch_ns set, shards seal per-epoch record chunks into
-//     per-shard SPSC queues and the caller thread merges them incrementally
-//     while the workers drain (sim/epoch_handoff.h) — deterministically, in
-//     (deq_timestamp, shard index, per-shard order) just like the barrier
-//     did.
+// Nothing crosses shards while a run is going. Cross-shard views
+// (merged_records(), ShardedAnalysis::merged_dq_notifications()) are merged
+// when they are read, in (deq_timestamp, shard index, per-shard order).
 //
 // Determinism contract: a hook registered on one port only ever runs on the
 // worker draining that port, and sees that port's packets in dequeue order.
@@ -35,24 +29,22 @@
 
 #include "obs/metrics.h"
 #include "sim/egress_port.h"
-#include "sim/epoch_handoff.h"
 
 namespace pq::sim {
 
 class ShardedEngine {
  public:
   /// How a run executes. Every combination produces byte-identical shard
-  /// outputs and merged views — threads, batch, epoch size and pinning are
-  /// pure scheduling knobs (docs/ARCHITECTURE.md §8/§10).
+  /// outputs and merged views — threads, batch and pinning are pure
+  /// scheduling knobs (docs/ARCHITECTURE.md §8/§10).
   struct RunOptions {
     /// Worker threads, clamped to [1, num_ports()].
     unsigned threads = 1;
     /// > 1 drains each shard in PacketBatch chunks of this size
     /// (EgressPort::set_hook_batch); 1 is the scalar oracle path.
     std::uint32_t batch = 1;
-    /// > 0 enables the epoch-batched handoff: shards seal records every
-    /// `epoch_ns` of simulated time and the caller thread merges sealed
-    /// epochs while workers drain. 0 keeps the legacy end-of-run merge.
+    /// Ignored: runs are not cut into epochs. Kept only because perfbench/
+    /// still sets it.
     Duration epoch_ns = 0;
     /// Best-effort round-robin CPU pinning of the workers
     /// (common/thread_pin.h); failures are recorded, never fatal.
@@ -72,15 +64,13 @@ class ShardedEngine {
   /// drains this port, concurrently with other shards' hooks.
   void add_hook(std::uint32_t port_index, EgressHook* hook);
 
-  /// Registers the control layer's epoch-handoff callbacks (not owned).
-  /// Only consulted when a run sets epoch_ns > 0. See sim/epoch_handoff.h.
-  void set_epoch_hooks(const EpochHooks* hooks) { epoch_hooks_ = hooks; }
-
   /// Partitions `packets` by the forwarding decision and drains every
   /// shard. Packets must be in non-decreasing arrival order; a pre-sorted
   /// input (every generator output is) skips the sort entirely, and with
   /// opts.threads > 1 the partition itself runs on the worker pool. Throws
-  /// std::out_of_range if the forwarding function returns an invalid port.
+  /// std::out_of_range if the forwarding function returns an invalid port;
+  /// an exception thrown by a hook on any worker is rethrown here after
+  /// every worker has joined.
   void run(std::vector<Packet> packets, const RunOptions& opts);
 
   /// Legacy signature; equivalent to run(packets, {threads, batch}).
@@ -104,8 +94,7 @@ class ShardedEngine {
 
   /// All ports' telemetry records merged in dequeue-timestamp order (ties
   /// broken by egress port index, then per-port record order) — the
-  /// deterministic cross-shard view of the run. Epoch-handoff runs build
-  /// this incrementally while draining; otherwise it is merged here.
+  /// deterministic cross-shard view of the run, merged on each call.
   std::vector<wire::TelemetryRecord> merged_records() const;
 
   EgressPort& port(std::uint32_t index) { return *ports_.at(index); }
@@ -132,9 +121,6 @@ class ShardedEngine {
                   const RunOptions& opts);
   void drain_shard(std::size_t p, const std::vector<Packet>& shard,
                    std::uint32_t batch);
-  /// Epoch-stepped drain: advance to each boundary, flush, seal a chunk.
-  void drain_shard_epochs(std::size_t p, const std::vector<Packet>& shard,
-                          const RunOptions& opts, EpochCollector& collector);
   /// Two-pass parallel partition (count then scatter), byte-identical to
   /// the sequential partition for any worker count.
   std::vector<std::vector<Packet>> partition_parallel(
@@ -144,10 +130,6 @@ class ShardedEngine {
   std::vector<std::uint64_t> drain_ns_;
   std::vector<int> worker_cpus_;
   std::function<std::uint32_t(const Packet&)> fwd_;
-  const EpochHooks* epoch_hooks_ = nullptr;
-  /// Records merged incrementally by epoch-handoff runs; merged_records()
-  /// serves from here when it covers everything the ports collected.
-  std::vector<wire::TelemetryRecord> merged_;
   /// True until set_forwarding() replaces the built-in dst-hash decision;
   /// gates the batched partition fast path.
   bool default_fwd_ = true;

@@ -326,6 +326,11 @@ void ArchiveReader::seek_cut(const RecoveredPort& rec, Timestamp as_of,
 
 control::RegisterRecords ArchiveReader::to_records(std::uint32_t port,
                                                    Timestamp as_of) const {
+  return collect(port, as_of, nullptr);
+}
+
+control::RegisterRecords ArchiveReader::collect(
+    std::uint32_t port, Timestamp as_of, const WindowQuery* query) const {
   const RecoveredPort& rec = ports_.at(port);
   control::RegisterRecords records;
   records.window_params = rec.header.window_params;
@@ -340,16 +345,29 @@ control::RegisterRecords ArchiveReader::to_records(std::uint32_t port,
     seek_cut(rec, as_of, bulk_end, stop);
   }
 
+  // With a query: set once the picked window run reached a checkpoint at
+  // or after t2.
+  bool run_closed = false;
   for (std::size_t i = 0; i < stop; ++i) {
     const auto& b = rec.blocks[i];
     if (i >= bulk_end && b.t_hi > as_of) continue;
     wire::ByteReader r(b.payload);
     switch (b.kind) {
-      case BlockKind::kWindowSnapshot:
-        records.window_snapshots[b.partition].push_back(
-            control::get_window_snapshot(r));
+      case BlockKind::kWindowSnapshot: {
+        auto& snaps = records.window_snapshots[b.partition];
+        if (query != nullptr) {
+          if (b.partition != query->partition || run_closed) break;
+          if (b.t_hi <= query->t1) {
+            snaps.clear();  // the run restarts after this checkpoint
+            break;
+          }
+          run_closed = b.t_hi >= query->t2;
+        }
+        snaps.push_back(control::get_window_snapshot(r));
         break;
+      }
       case BlockKind::kMonitorSnapshot:
+        if (query != nullptr) break;
         records.monitor_snapshots[b.partition].push_back(
             control::get_monitor_snapshot(r));
         break;
@@ -378,7 +396,8 @@ core::FlowCounts ArchiveReader::query_time_windows(std::uint32_t port,
                                                    Timestamp t1, Timestamp t2,
                                                    std::uint32_t partition,
                                                    Timestamp as_of) const {
-  return control::offline_query_time_windows(to_records(port, as_of),
+  const WindowQuery query{partition, t1, t2};
+  return control::offline_query_time_windows(collect(port, as_of, &query),
                                              partition, t1, t2);
 }
 

@@ -132,7 +132,10 @@ class ArchiveReader {
 
   /// The retroactive queries, same semantics (and bytes) as pq_offline
   /// against the reconstructed records. `partition` is the shard-local
-  /// window/monitor partition (0 unless multi-queue).
+  /// window/monitor partition (0 unless multi-queue). query_time_windows
+  /// decodes only the window checkpoints the estimator reads (see
+  /// WindowQuery below); its answer equals
+  /// offline_query_time_windows(to_records(port, as_of), partition, t1, t2).
   core::FlowCounts query_time_windows(
       std::uint32_t port, Timestamp t1, Timestamp t2,
       std::uint32_t partition = 0,
@@ -161,6 +164,31 @@ class ArchiveReader {
   /// blocks [stop, n) are all > as_of, the middle needs per-block checks.
   void seek_cut(const RecoveredPort& rec, Timestamp as_of,
                 std::size_t& bulk_end, std::size_t& stop) const;
+
+  /// What offline_query_time_windows(records, partition, t1, t2) reads of a
+  /// bundle: the layout and z0 of the newest calibration, and the run of
+  /// the partition's window checkpoints that starts after the last one
+  /// taken at or before t1 and ends at the first one taken at or after t2
+  /// (the estimator walks back from that one and stops at the first
+  /// checkpoint not past t1). A window block's t_hi is its taken_at, so the
+  /// run is picked from block metadata: a checkpoint at or before t1
+  /// restarts it, the first one at or after t2 closes it. That replays the
+  /// estimator's own walk, so the answer is exact in any block order.
+  /// The cost bound relies on the writer appending each partition's window
+  /// checkpoints in non-decreasing t_hi (polls follow the packet clock and
+  /// finalize comes last): then no restart ever discards a decoded block,
+  /// and a query decodes only the checkpoints in (t1, t2] plus at most one
+  /// past t2.
+  struct WindowQuery {
+    std::uint32_t partition = 0;
+    Timestamp t1 = 0;
+    Timestamp t2 = 0;
+  };
+
+  /// to_records' block loop; `query` narrows it to what one time-window
+  /// query reads (no monitor snapshots, only the picked window run).
+  control::RegisterRecords collect(std::uint32_t port, Timestamp as_of,
+                                   const WindowQuery* query) const;
 
   ReaderOptions opts_;
   std::map<std::uint32_t, RecoveredPort> ports_;

@@ -86,8 +86,8 @@ INSTANTIATE_TEST_SUITE_P(WithAndWithoutFaults, BatchDifferential,
 
 // Batched drains on 16 genuinely concurrent workers (16 ports) under an
 // active FaultPlan — the batch counterpart of the determinism suite's wide
-// sweep. Odd batch 3 exercises misaligned epoch-boundary flushes; 1024 is
-// larger than many shard backlogs.
+// sweep. Odd batch 3 never aligns with a poll or capture boundary; 1024
+// is larger than many shard backlogs.
 TEST(BatchDifferential, SixteenThreadsWideWorkload) {
   const auto packets = workload(harness::kPortsWide);
   harness::RunSpec oracle_spec;

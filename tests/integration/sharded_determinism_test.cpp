@@ -2,13 +2,14 @@
 // a multi-port run produces byte-identical pipeline register state, query
 // answers, merged notification streams, health counters and fault schedules
 // for ANY thread count — 1, 2 and 8 are exercised here, with and without an
-// active FaultPlan. The workload, configuration, RunResult shape and
-// encoders live in sharded_harness.h, shared with the batch-size sweep in
-// batch_differential_test.cpp.
+// active FaultPlan, at scalar and batched hook delivery. The workload,
+// configuration, RunResult shape and encoders live in sharded_harness.h,
+// shared with the batch-size sweep in batch_differential_test.cpp.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "control/analysis_program.h"
-#include "sim/switch.h"
 #include "sharded_harness.h"
 
 namespace pq {
@@ -36,19 +37,21 @@ TEST_P(ShardedDeterminism, ByteIdenticalAcrossThreadCounts) {
   EXPECT_GT(base.dq_fired, 0u);
   ASSERT_FALSE(base.archive_bytes.empty());
 
-  for (const unsigned threads : {2u, 8u}) {
-    const RunResult other = run_once(packets, with_faults, threads);
-    EXPECT_EQ(base.registers, other.registers) << "threads=" << threads;
-    EXPECT_EQ(base.answers, other.answers) << "threads=" << threads;
-    EXPECT_EQ(base.fault_schedule, other.fault_schedule)
-        << "threads=" << threads;
-    EXPECT_EQ(base.dq_stream, other.dq_stream) << "threads=" << threads;
-    EXPECT_EQ(base.health, other.health) << "threads=" << threads;
-    EXPECT_EQ(base.packets_seen, other.packets_seen) << "threads=" << threads;
-    EXPECT_EQ(base.dq_fired, other.dq_fired) << "threads=" << threads;
-    EXPECT_EQ(base.metrics_json, other.metrics_json) << "threads=" << threads;
-    EXPECT_EQ(base.archive_bytes, other.archive_bytes)
-        << "threads=" << threads;
+  const std::pair<unsigned, std::uint32_t> sweep[] = {
+      {2u, 1u}, {8u, 1u}, {1u, 64u}, {8u, 64u}};
+  for (const auto& [threads, batch] : sweep) {
+    const RunResult other = run_once(packets, with_faults, threads, batch);
+    const auto label = ::testing::Message()
+                       << "threads=" << threads << " batch=" << batch;
+    EXPECT_EQ(base.registers, other.registers) << label;
+    EXPECT_EQ(base.answers, other.answers) << label;
+    EXPECT_EQ(base.fault_schedule, other.fault_schedule) << label;
+    EXPECT_EQ(base.dq_stream, other.dq_stream) << label;
+    EXPECT_EQ(base.health, other.health) << label;
+    EXPECT_EQ(base.packets_seen, other.packets_seen) << label;
+    EXPECT_EQ(base.dq_fired, other.dq_fired) << label;
+    EXPECT_EQ(base.metrics_json, other.metrics_json) << label;
+    EXPECT_EQ(base.archive_bytes, other.archive_bytes) << label;
   }
 }
 
@@ -99,34 +102,6 @@ TEST(ShardedDeterminism, SixteenThreadsWideWorkload) {
   }
 }
 
-// The epoch-batched handoff is a scheduling change, not a semantic one: any
-// epoch size (tiny and relatively prime to everything, the 4 ms default,
-// absurdly large) must be byte-identical to the legacy end-of-run merge
-// barrier (epoch_ns = 0), at any thread count, under an active FaultPlan.
-TEST(ShardedDeterminism, EpochHandoffMatchesLegacyMerge) {
-  const auto packets = workload();
-  harness::RunSpec legacy;
-  legacy.with_faults = true;
-  legacy.epoch_ns = 0;
-  const RunResult oracle = run_once(packets, legacy);
-  ASSERT_GT(oracle.packets_seen, 0u);
-  EXPECT_GT(oracle.dq_fired, 0u);
-
-  for (const Duration epoch : {Duration{100'003}, Duration{4'000'000},
-                               Duration{1} << 40}) {
-    for (const unsigned threads : {1u, 8u}) {
-      harness::RunSpec spec;
-      spec.with_faults = true;
-      spec.threads = threads;
-      spec.batch = 64;
-      spec.epoch_ns = epoch;
-      expect_equal(oracle, run_once(packets, spec),
-                   ::testing::Message()
-                       << "epoch_ns=" << epoch << " threads=" << threads);
-    }
-  }
-}
-
 // The sharded stack and the monolithic pipeline answer the same queries on
 // the same per-port traffic: sanity that sharding did not change what a
 // shard computes (same windows, same coefficients, same filtering).
@@ -138,16 +113,16 @@ TEST(ShardedDeterminism, ShardMatchesMonolithicSinglePort) {
   auto pkts = traffic::generate_flow_trace(tcfg);
   for (auto& pk : pkts) pk.egress_hint = 0;
 
-  // Monolithic: one pipeline, one port, via the Switch facade.
+  // Monolithic: one pipeline hooked straight onto a 1-port engine.
   core::PipelineConfig pcfg = system_config(false).pipeline;
   pcfg.dq_depth_threshold_cells = 0;  // compare the polling path only
   core::PrintQueuePipeline mono(pcfg);
   mono.enable_port(0);
   control::AnalysisProgram mono_ap(mono, {});
-  sim::Switch sw({sim::PortConfig{}});
-  sw.add_hook(0, &mono);
-  sw.run(pkts);
-  mono_ap.finalize(sw.port(0).stats().last_departure + 1);
+  sim::ShardedEngine eng({sim::PortConfig{}});
+  eng.add_hook(0, &mono);
+  eng.run(pkts);
+  mono_ap.finalize(eng.port(0).stats().last_departure + 1);
 
   // Sharded: same config, one shard, parallel path.
   auto scfg = system_config(false);

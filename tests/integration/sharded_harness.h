@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -169,9 +168,6 @@ struct RunSpec {
   unsigned threads = 1;
   std::uint32_t batch = 1;
   std::uint32_t ports = kPorts;
-  /// Engine epoch size; nullopt = the ShardedSystem::Config default
-  /// (epoch handoff on), 0 = the legacy end-of-run merge barrier.
-  std::optional<Duration> epoch_ns;
   bool pin_threads = false;
 };
 
@@ -226,9 +222,7 @@ inline RunResult collect_result(control::ShardedSystem& sys,
 
 inline RunResult run_once(const std::vector<Packet>& packets,
                           const RunSpec& spec) {
-  auto cfg = system_config(spec.with_faults, spec.ports);
-  if (spec.epoch_ns.has_value()) cfg.epoch_ns = *spec.epoch_ns;
-  control::ShardedSystem sys(std::move(cfg));
+  control::ShardedSystem sys(system_config(spec.with_faults, spec.ports));
   const TempDir archive_dir;
   store::Archive archive(harness_archive_options(archive_dir.path()));
   archive.attach(sys.pipeline(), sys.analysis());

@@ -75,7 +75,6 @@ TEST_P(NetworkDifferential, SingleNodeMatchesStandaloneByteForByte) {
   ncfg.node.pipeline = scfg.pipeline;
   ncfg.node.analysis = scfg.analysis;
   ncfg.node.faults = scfg.faults;
-  ncfg.node.epoch_ns = scfg.epoch_ns;
   net::NetworkEngine engine(ncfg);
 
   const harness::TempDir archive_dir;

@@ -54,6 +54,33 @@ control::WindowSnapshot make_window_snapshot(Timestamp taken_at,
   return snap;
 }
 
+/// A checkpoint whose cells are all recent as of `taken_at` (every other
+/// slot of each window, walking back from the newest), so the estimator
+/// keeps them and queries near `taken_at` return flows.
+control::WindowSnapshot fresh_window_snapshot(Timestamp taken_at,
+                                              std::uint32_t seed) {
+  const auto p = test_params();
+  const std::uint64_t slots = 1u << p.k;
+  control::WindowSnapshot snap;
+  snap.taken_at = taken_at;
+  snap.epoch = seed;
+  snap.state.resize(p.num_windows);
+  for (std::uint32_t w = 0; w < p.num_windows; ++w) {
+    snap.state[w].resize(slots);
+    const std::uint64_t newest = taken_at >> (p.m0 + p.alpha * w);
+    for (std::uint64_t back = 0; back < slots && back <= newest; back += 2) {
+      const std::uint64_t tts = newest - back;
+      auto& cell = snap.state[w][tts & (slots - 1)];
+      cell.occupied = true;
+      cell.flow.src_ip =
+          static_cast<std::uint32_t>((seed + back) % 11);  // flows recur
+      cell.flow.dst_ip = 7;
+      cell.cycle_id = tts >> p.k;
+    }
+  }
+  return snap;
+}
+
 control::MonitorSnapshot make_monitor_snapshot(Timestamp taken_at,
                                                std::uint32_t seed) {
   control::MonitorSnapshot snap;
@@ -168,6 +195,122 @@ TEST_P(ArchiveSeek, IndexedSeekMatchesFullScanEverywhere) {
   EXPECT_GT(indexed.seek_stats().probes, 0u);
   EXPECT_GT(indexed.seek_stats().blocks_bypassed, 0u);
   EXPECT_EQ(scan.seek_stats().seeks, 0u);
+}
+
+// The narrowed --as-of time-window query decodes only the checkpoints the
+// estimator reads; its answer must equal the estimator run over the whole
+// as-of bundle for random (t1, t2, as_of) — many of them exactly on a
+// block's t_hi or one tick off — with the seek index on and off, on two
+// window partitions, and with a few checkpoints appended out of time order
+// (the pick is exact in any order; only its cost assumes the order).
+TEST_P(ArchiveSeek, NarrowedWindowQueryMatchesFullBundle) {
+  const TempDir dir;
+  store::ArchiveOptions opts;
+  opts.dir = dir.path();
+  opts.segment_bytes = 8 * 1024;
+  opts.format_version = format();
+
+  Rng rng(919 + GetParam());
+  std::vector<Timestamp> boundaries;
+  {
+    store::ArchiveWriter w(0, test_params(), 8, opts);
+    Timestamp t = 50'000;
+    for (std::uint32_t i = 0; i < 120; ++i) {
+      if (rng.uniform_below(4) != 0) t += 1'000 + rng.uniform_below(40'000);
+      boundaries.push_back(t);
+      w.on_window_snapshot(0, fresh_window_snapshot(t, i + 1));
+      if (i % 2 == 0) w.on_window_snapshot(1, fresh_window_snapshot(t, i + 7));
+      if (i % 17 == 16) {  // a straggler, taken before its predecessors
+        const Timestamp back = t - 1 - rng.uniform_below(60'000);
+        boundaries.push_back(back);
+        w.on_window_snapshot(0, fresh_window_snapshot(back, i + 3));
+      }
+      if (i % 3 == 0) w.on_monitor_snapshot(0, make_monitor_snapshot(t, i + 1));
+      if (i % 10 == 0) w.on_calibration(make_calibration(t, 0.4 + 0.001 * i));
+    }
+    w.close();
+  }
+  const Timestamp last = boundaries.back();
+  auto pick = [&]() -> Timestamp {
+    const Timestamp b = boundaries[rng.uniform_below(boundaries.size())];
+    switch (rng.uniform_below(4)) {
+      case 0: return b;      // exactly on a block's t_hi
+      case 1: return b - 1;  // one tick before
+      case 2: return b + 1;  // one tick after
+      default: return rng.uniform_below(last + last / 4);
+    }
+  };
+
+  std::size_t nonempty = 0;
+  for (const bool use_index : {true, false}) {
+    store::ReaderOptions ro;
+    ro.use_seek_index = use_index;
+    ro.seek_index_stride = 4;
+    const store::ArchiveReader reader(dir.path(), ro);
+    for (int q = 0; q < 300; ++q) {
+      const Timestamp t1 = pick();
+      Timestamp t2 = t1 + rng.uniform_below(150'000);  // about one t_set
+      if (q % 10 == 0) t2 = t1;                        // empty span
+      if (q % 10 == 1) t2 = pick();                    // any span, any order
+      const Timestamp as_of =
+          q % 7 == 0 ? std::numeric_limits<Timestamp>::max() : pick();
+      const auto bundle = reader.to_records(0, as_of);
+      for (const std::uint32_t part : {0u, 1u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "index=" << use_index << " part=" << part
+                     << " t1=" << t1 << " t2=" << t2 << " as_of=" << as_of);
+        const auto narrowed = reader.query_time_windows(0, t1, t2, part, as_of);
+        EXPECT_EQ(narrowed,
+                  control::offline_query_time_windows(bundle, part, t1, t2));
+        if (!narrowed.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 200u);  // the sweep compared real answers, not empties
+}
+
+// The order the narrowed query's cost bound relies on: a real sharded run
+// appends every (port, window partition)'s checkpoints in non-decreasing
+// t_hi, faults on or off, and the narrowed answers match the full bundle's
+// on that archive too.
+TEST(ArchiveWindowOrder, ShardedRunAppendsCheckpointsInTimeOrder) {
+  const auto packets = harness::workload();
+  for (const bool with_faults : {false, true}) {
+    const TempDir dir;
+    auto cfg = harness::system_config(with_faults);
+    cfg.analysis.poll_period_ns = 200'000;  // ~30 checkpoints per port
+    control::ShardedSystem sys(std::move(cfg));
+    {
+      store::Archive archive(harness::harness_archive_options(dir.path()));
+      archive.attach(sys.pipeline(), sys.analysis());
+      sys.run(packets, 4, 64);
+      archive.close();
+    }
+    const store::ArchiveReader reader(dir.path());
+    ASSERT_EQ(reader.ports().size(), harness::kPorts);
+    for (const auto& [port, rec] : reader.recovered()) {
+      std::vector<Timestamp> newest(rec.window_parts, 0);
+      std::size_t windows = 0;
+      for (const auto& b : rec.blocks) {
+        if (b.kind != store::BlockKind::kWindowSnapshot) continue;
+        EXPECT_GE(b.t_hi, newest[b.partition])
+            << "port " << port << " partition " << b.partition;
+        newest[b.partition] = b.t_hi;
+        ++windows;
+      }
+      EXPECT_GT(windows, 2u) << "port " << port;
+      for (const Timestamp t1 : {Timestamp{0}, Timestamp{1'500'000},
+                                 Timestamp{2'000'000}}) {
+        for (const Timestamp as_of : {Timestamp{3'000'000}, newest[0]}) {
+          const Timestamp t2 = t1 + 2'000'000;
+          EXPECT_EQ(reader.query_time_windows(port, t1, t2, 0, as_of),
+                    control::offline_query_time_windows(
+                        reader.to_records(port, as_of), 0, t1, t2))
+              << "port " << port << " t1=" << t1 << " as_of=" << as_of;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, ArchiveSeek, ::testing::Values(1, 2),
