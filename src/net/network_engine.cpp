@@ -1,10 +1,13 @@
 #include "net/network_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
 
+#include "common/worker_pool.h"
+#include "control/metrics_export.h"
 #include "core/tts_layout.h"
 #include "sim/hooks.h"
 
@@ -12,9 +15,11 @@ namespace pq::net {
 
 namespace {
 
-/// A packet waiting to arrive at a switch. `seq` breaks arrival-time ties
-/// deterministically: injection index for initial packets, then a monotone
-/// counter in departure-processing order for hop-generated arrivals.
+/// A packet waiting to arrive at a switch. For hop-generated arrivals (the
+/// only ones that enter the heap) `seq` is a monotone counter in
+/// departure-processing order that breaks arrival-time ties
+/// deterministically. It starts above every injection index, which is why
+/// an injection wins any tie against the heap.
 struct Pending {
   Timestamp arrival = 0;
   std::uint64_t seq = 0;
@@ -77,23 +82,47 @@ void NetworkEngine::run(std::vector<Injection> injections,
 
   // ---- Pass 1: transport -------------------------------------------------
 
-  // Bare ports (records off) with a departure collector each. Queue
-  // dynamics depend only on the arrival sequence, so these ports dequeue
-  // and drop exactly as pass 2's instrumented ports will.
-  std::vector<std::vector<std::unique_ptr<sim::EgressPort>>> transport;
-  std::vector<std::vector<sim::DepartureCollector>> collectors;
-  transport.resize(topo.switches.size());
-  collectors.resize(topo.switches.size());
-  for (std::size_t s = 0; s < topo.switches.size(); ++s) {
-    collectors[s].resize(topo.switches[s].ports.size());
-    for (std::size_t p = 0; p < topo.switches[s].ports.size(); ++p) {
-      sim::PortConfig pc = topo.switches[s].ports[p];
+  const obs::StopwatchNs transport_watch;
+
+  // Bare ports (records off) with a departure collector each, flattened
+  // switch-major: port p of switch s is index port_base[s] + p, so walking
+  // flat indices upward is the (switch, port) order. Queue dynamics depend
+  // only on the arrival sequence, so these ports dequeue and drop exactly
+  // as pass 2's instrumented ports will.
+  const std::size_t num_switches = topo.switches.size();
+  std::vector<std::size_t> port_base(num_switches + 1, 0);
+  for (std::size_t s = 0; s < num_switches; ++s) {
+    port_base[s + 1] = port_base[s] + topo.switches[s].ports.size();
+  }
+  const std::size_t num_ports = port_base[num_switches];
+  std::vector<std::unique_ptr<sim::EgressPort>> transport;
+  std::vector<sim::DepartureCollector> collectors(num_ports);
+  std::vector<std::uint32_t> port_switch(num_ports);
+  transport.reserve(num_ports);
+  for (std::size_t s = 0; s < num_switches; ++s) {
+    for (sim::PortConfig pc : topo.switches[s].ports) {
       pc.collect_records = false;
       pc.collect_depth_series = false;
-      transport[s].push_back(std::make_unique<sim::EgressPort>(pc));
-      transport[s][p]->add_hook(&collectors[s][p]);
+      port_switch[transport.size()] = static_cast<std::uint32_t>(s);
+      transport.push_back(std::make_unique<sim::EgressPort>(pc));
+      transport.back()->add_hook(&collectors[transport.size() - 1]);
     }
   }
+
+  // The active-port worklist: a port's bit is set when it is offered a
+  // packet and cleared once its queue is empty after an epoch's departure
+  // sweep, so at the top of every epoch the set is exactly the non-empty
+  // queues. Skipping an inactive port is exact: advancing an empty queue
+  // dequeues nothing.
+  std::vector<std::uint64_t> active((num_ports + 63) / 64, 0);
+  std::size_t active_count = 0;
+  auto activate = [&](std::size_t i) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((active[i / 64] & bit) == 0) {
+      active[i / 64] |= bit;
+      ++active_count;
+    }
+  };
 
   // Flatten, order and identify the injections (merge_traces semantics:
   // stable sort by arrival, ids assigned 1..n in order).
@@ -112,6 +141,8 @@ void NetworkEngine::run(std::vector<Injection> injections,
       initial.push_back(std::move(p));
     }
   }
+  injections.clear();
+  injections.shrink_to_fit();
   std::stable_sort(initial.begin(), initial.end(),
                    [](const Pending& a, const Pending& b) {
                      return a.arrival < b.arrival;
@@ -122,19 +153,19 @@ void NetworkEngine::run(std::vector<Injection> injections,
   stats_ = NetRunStats{};
   stats_.injected = initial.size();
 
-  std::priority_queue<Pending, std::vector<Pending>, PendingLater> heap;
-  std::uint64_t next_seq = 0;
-  for (Pending& p : initial) {
+  // Route the injections in place, compacting out the unroutable ones; the
+  // survivors stay arrival-sorted in injection order.
+  std::size_t routed = 0;
+  for (std::size_t k = 0; k < initial.size(); ++k) {
+    Pending& p = initial[k];
     const std::uint32_t src_host = p.pkt.egress_hint;
-    p.pkt.id = next_seq + 1;  // merge_traces ids are 1-based
-    p.seq = next_seq;
+    p.pkt.id = k + 1;  // merge_traces ids are 1-based
 
-    IntHeader& hdr = headers_[next_seq];
-    hdr.packet_id = next_seq + 1;
+    IntHeader& hdr = headers_[k];
+    hdr.packet_id = k + 1;
     hdr.flow = p.pkt.flow;
     hdr.src_host = src_host;
     hdr.injected_at = p.arrival;
-    ++next_seq;
 
     const auto dst = ip_to_host.find(p.pkt.flow.dst_ip);
     if (dst == ip_to_host.end()) {
@@ -145,8 +176,29 @@ void NetworkEngine::run(std::vector<Injection> injections,
     p.dst_host = dst->second;
     hdr.dst_host = dst->second;
     p.pkt.egress_hint = topo.next_port(p.sw, p.dst_host, p.pkt.flow);
-    heap.push(std::move(p));
+    if (routed != k) initial[routed] = std::move(p);
+    ++routed;
   }
+  std::uint64_t next_seq = initial.size();  // hop seqs start above injections
+  initial.resize(routed);
+
+  // Hop-generated arrivals only; injections merge in from `initial`. An
+  // injection wins an arrival-time tie, exactly as its seq (< every hop
+  // seq) would have ordered it in one combined queue.
+  std::priority_queue<Pending, std::vector<Pending>, PendingLater> heap;
+  std::size_t next_injection = 0;
+  // The earliest pending arrival, or nullptr when none is left.
+  auto next_arrival = [&]() -> const Pending* {
+    const bool have_injection = next_injection < initial.size();
+    if (heap.empty()) {
+      return have_injection ? &initial[next_injection] : nullptr;
+    }
+    if (have_injection &&
+        initial[next_injection].arrival <= heap.top().arrival) {
+      return &initial[next_injection];
+    }
+    return &heap.top();
+  };
 
   const std::optional<Duration> min_delay = topo.min_link_delay();
   Duration epoch = min_delay.value_or(0);
@@ -171,12 +223,11 @@ void NetworkEngine::run(std::vector<Injection> injections,
     hdr.push_hop(hop, cfg_.int_max_hops);
     ++stats_.total_hops;
 
-    if (const HostConfig* host = topo.host_at(sw, port)) {
+    if (topo.host_at(sw, port) != nullptr) {
       hdr.fate = PacketFate::kDelivered;
       hdr.delivered_at = hop.deq_timestamp;
       ++stats_.delivered;
       stats_.last_event_ns = std::max(stats_.last_event_ns, hdr.delivered_at);
-      (void)host;
       return;
     }
     const LinkConfig* link = topo.link_at(sw, port);
@@ -206,25 +257,17 @@ void NetworkEngine::run(std::vector<Injection> injections,
     heap.push(std::move(next));
   };
 
-  auto all_queues_empty = [&] {
-    for (const auto& ports : transport) {
-      for (const auto& port : ports) {
-        if (!port->queue_empty()) return false;
-      }
-    }
-    return true;
-  };
-
   Timestamp h = 0;
-  while (!heap.empty() || !all_queues_empty()) {
+  for (const Pending* first = next_arrival();
+       first != nullptr || active_count > 0; first = next_arrival()) {
     ++stats_.transport_epochs;
     if (single_epoch) {
       h = ~Timestamp{0};
-    } else if (!heap.empty() && all_queues_empty() &&
-               heap.top().arrival > h + epoch) {
+    } else if (active_count == 0 && first->arrival > h + epoch) {
       // Idle fast-forward: with every queue empty no departure can occur
       // before the next arrival, so jumping the horizon there is exact.
-      h = heap.top().arrival;
+      h = first->arrival;
+      ++stats_.idle_fast_forwards;
     } else {
       h += epoch;
     }
@@ -233,57 +276,118 @@ void NetworkEngine::run(std::vector<Injection> injections,
     // later this epoch happen strictly after the previous horizon, so the
     // arrivals they generate land strictly beyond h (delay >= epoch) —
     // this offer set is complete.
-    while (!heap.empty() && heap.top().arrival <= h) {
-      const Pending& top = heap.top();
-      induced_[top.sw].push_back(top.pkt);
-      transport[top.sw][top.pkt.egress_hint]->offer(top.pkt);
-      heap.pop();
-    }
-
-    // Advance every port to the horizon, then process what departed, in
-    // (switch, port, dequeue) order — the deterministic schedule.
-    for (std::size_t s = 0; s < transport.size(); ++s) {
-      for (std::size_t p = 0; p < transport[s].size(); ++p) {
-        if (single_epoch) {
-          transport[s][p]->drain();
-        } else {
-          transport[s][p]->advance_to(h);
-        }
+    for (const Pending* p = first; p != nullptr && p->arrival <= h;
+         p = next_arrival()) {
+      const std::size_t i = port_base[p->sw] + p->pkt.egress_hint;
+      induced_[p->sw].push_back(p->pkt);
+      transport[i]->offer(p->pkt);
+      activate(i);
+      if (next_injection < initial.size() && p == &initial[next_injection]) {
+        ++next_injection;
+      } else {
+        heap.pop();
       }
     }
-    for (std::size_t s = 0; s < transport.size(); ++s) {
-      for (std::size_t p = 0; p < transport[s].size(); ++p) {
-        for (const sim::EgressContext& ctx : collectors[s][p].pending()) {
-          process_departure(static_cast<std::uint32_t>(s),
-                            static_cast<std::uint32_t>(p), ctx);
+
+    // Advance each active port to the horizon and process what departed,
+    // in (switch, port, dequeue) order — the deterministic schedule.
+    // Departures only feed the heap (at arrivals beyond h), so finishing
+    // one port before advancing the next changes nothing.
+    for (std::size_t w = 0; w < active.size(); ++w) {
+      for (std::uint64_t bits = active[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t i = w * 64 + std::countr_zero(bits);
+        sim::EgressPort& port = *transport[i];
+        if (single_epoch) {
+          port.drain();
+        } else {
+          port.advance_to(h);
         }
-        collectors[s][p].clear();
+        const std::uint32_t sw = port_switch[i];
+        const auto port_index = static_cast<std::uint32_t>(i - port_base[sw]);
+        for (const sim::EgressContext& ctx : collectors[i].pending()) {
+          process_departure(sw, port_index, ctx);
+        }
+        collectors[i].clear();
+        if (port.queue_empty()) {
+          active[w] &= ~(std::uint64_t{1} << (i % 64));
+          --active_count;
+        }
       }
     }
   }
 
   // Tail drops never dequeue, so sweep them up from the port logs.
-  for (std::size_t s = 0; s < transport.size(); ++s) {
-    for (const auto& port : transport[s]) {
-      for (const sim::DropRecord& d : port->drops()) {
-        IntHeader& hdr = headers_[d.packet_id - 1];
-        hdr.fate = PacketFate::kDropped;
-        hdr.delivered_at = d.t;
-        ++stats_.dropped;
-        stats_.last_event_ns = std::max(stats_.last_event_ns, d.t);
-      }
+  for (const auto& port : transport) {
+    for (const sim::DropRecord& d : port->drops()) {
+      IntHeader& hdr = headers_[d.packet_id - 1];
+      hdr.fate = PacketFate::kDropped;
+      hdr.delivered_at = d.t;
+      ++stats_.dropped;
+      stats_.last_event_ns = std::max(stats_.last_event_ns, d.t);
     }
   }
+  transport_ns_ = transport_watch.elapsed_ns();
 
   // ---- Pass 2: telemetry -------------------------------------------------
 
   // Each switch replays its induced trace through the full PrintQueue
   // stack. The trace is already per-port-ordered by construction, and
   // egress hints carry the routing decision, so this is exactly the
-  // standalone single-switch run path.
-  for (std::size_t s = 0; s < nodes_.size(); ++s) {
-    nodes_[s]->run(induced_[s], opts);
+  // standalone single-switch run path. Switches share nothing, so they run
+  // on a switch-level pool; a switch's own thread count is a pure
+  // scheduling knob, so each runs single-threaded on the worker that
+  // claimed it.
+  const obs::StopwatchNs telemetry_watch;
+  sim::ShardedEngine::RunOptions node_opts = opts;
+  node_opts.threads = 1;
+  node_opts.pin_threads = false;
+  parallel_for(nodes_.size(), PoolOptions{opts.threads, opts.pin_threads},
+               [&](std::size_t s) { nodes_[s]->run(induced_[s], node_opts); });
+  telemetry_ns_ = telemetry_watch.elapsed_ns();
+}
+
+void export_network_metrics(obs::MetricsRegistry& reg,
+                            const NetworkEngine& net) {
+  const NetRunStats& st = net.stats();
+  reg.counter("pq_net_packets_injected_total",
+              "packets injected at edge switches")
+      .inc(st.injected);
+  reg.counter("pq_net_packets_delivered_total",
+              "packets dequeued at their destination host's port")
+      .inc(st.delivered);
+  reg.counter("pq_net_packets_dropped_total", "tail drops at any hop")
+      .inc(st.dropped);
+  reg.counter("pq_net_ttl_exceeded_total",
+              "packets retired after max_ttl hops")
+      .inc(st.ttl_exceeded);
+  reg.counter("pq_net_unroutable_total",
+              "packets whose destination no host owns")
+      .inc(st.unroutable);
+  reg.counter("pq_net_transport_epochs_total",
+              "GVT epochs of the transport pass")
+      .inc(st.transport_epochs);
+  reg.counter("pq_net_idle_fast_forwards_total",
+              "epochs that jumped the horizon across an idle fabric")
+      .inc(st.idle_fast_forwards);
+  reg.counter("pq_net_hops_total", "switch traversals, all packets")
+      .inc(st.total_hops);
+  reg.counter("pq_net_transport_ns",
+              "wall-clock ns of the transport pass (timing)",
+              /*timing=*/true)
+      .inc(net.transport_ns());
+  reg.counter("pq_net_telemetry_ns",
+              "wall-clock ns of the per-switch telemetry pass (timing)",
+              /*timing=*/true)
+      .inc(net.telemetry_ns());
+}
+
+obs::MetricsRegistry collect_network_metrics(const NetworkEngine& net) {
+  obs::MetricsRegistry reg;
+  for (std::uint32_t sw = 0; sw < net.num_nodes(); ++sw) {
+    reg.merge(control::collect_system_metrics(net.node(sw)));
   }
+  export_network_metrics(reg, net);
+  return reg;
 }
 
 }  // namespace pq::net

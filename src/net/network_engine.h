@@ -7,23 +7,27 @@
 //   EgressPorts (records off, one DepartureCollector per port) computes
 //   every queueing decision in the fabric: the GVT horizon advances in
 //   epochs no larger than the smallest link delay (the lookahead), each
-//   epoch offers all pending arrivals <= h, advances every port to h, and
-//   re-enqueues each collected departure at the next hop at
-//   deq_timestamp + link delay. Because delay >= lookahead, an epoch's
+//   epoch offers all pending arrivals <= h, advances the ports holding
+//   packets to h, and re-enqueues each collected departure at the next hop
+//   at deq_timestamp + link delay. Because delay >= lookahead, an epoch's
 //   departures can only generate arrivals strictly beyond h — no port ever
 //   sees an arrival behind its clock, which is the whole correctness
-//   argument. This pass also accumulates the per-packet IntHeader stack and
-//   the per-switch *induced arrival trace*.
+//   argument. The loop's work follows the packets: an active-port worklist
+//   (a bitset over switch-major port indices, walked in (switch, port)
+//   order) replaces sweeps over every port, and injections stay in their
+//   arrival-sorted vector, merged with a heap of in-flight hop arrivals.
+//   This pass also accumulates the per-packet IntHeader stack and the
+//   per-switch *induced arrival trace*.
 //
 //   Pass 2 — telemetry. Each switch's full control::ShardedSystem replays
-//   its induced trace through the standard run path (epoch handoff, fault
-//   chains, analysis polls, archives — everything). Queue dynamics are a
-//   pure function of the per-port arrival sequence and are independent of
-//   hooks and fault injectors (those rewrite observations, never queueing),
-//   so pass 2 reproduces pass 1's dequeues exactly, and every per-switch
-//   result is byte-identical to running that switch standalone on the same
-//   trace — the determinism contract tests/net/network_differential_test
-//   enforces.
+//   its induced trace through the standard run path (fault chains,
+//   analysis polls, archives — everything), on a switch-level worker pool.
+//   Queue dynamics are a pure function of the per-port arrival sequence
+//   and are independent of hooks and fault injectors (those rewrite
+//   observations, never queueing), so pass 2 reproduces pass 1's dequeues
+//   exactly, and every per-switch result is byte-identical to running that
+//   switch standalone on the same trace — the determinism contract
+//   tests/net/network_differential_test enforces.
 //
 // The engine is single-shot: construct, optionally attach archives to
 // node(i), run once, then query nodes/headers/stats.
@@ -37,6 +41,7 @@
 #include "control/sharded_analysis.h"
 #include "net/int_header.h"
 #include "net/topology.h"
+#include "obs/metrics.h"
 
 namespace pq::net {
 
@@ -89,6 +94,9 @@ struct NetRunStats {
   std::uint64_t ttl_exceeded = 0;
   std::uint64_t unroutable = 0;     ///< dst_ip owned by no host
   std::uint64_t transport_epochs = 0;
+  /// Epochs whose horizon jumped straight to the next arrival because
+  /// every queue was empty (a subset of transport_epochs).
+  std::uint64_t idle_fast_forwards = 0;
   std::uint64_t total_hops = 0;     ///< switch traversals, all packets
   Timestamp last_event_ns = 0;      ///< latest delivery/drop in the run
 };
@@ -99,9 +107,12 @@ class NetworkEngine {
   /// switch (so callers can attach archives/sinks before run()).
   explicit NetworkEngine(NetworkConfig cfg);
 
-  /// Runs both passes. `opts` governs pass 2's per-switch execution
-  /// (threads/batch/epoch/pinning are pure scheduling knobs there; pass 1
-  /// is sequential by construction). Throws if called twice.
+  /// Runs both passes. `opts.threads` is the size of the switch-level pool
+  /// that runs pass 2 (each switch single-threaded on one worker), pinned
+  /// when `opts.pin_threads` is set; `opts.batch` is each switch's hook
+  /// batch. All are pure scheduling knobs: no result depends on them. If a
+  /// switch throws, every other switch still runs and the first exception
+  /// is rethrown here after the pool joins. Throws if called twice.
   void run(std::vector<Injection> injections,
            const sim::ShardedEngine::RunOptions& opts);
   void run(std::vector<Injection> injections, unsigned threads = 1,
@@ -131,13 +142,31 @@ class NetworkEngine {
 
   const NetRunStats& stats() const { return stats_; }
 
+  /// Wall-clock ns of the last run's transport and telemetry passes. Timing
+  /// metadata only; always 0 in a PQ_METRICS=OFF build.
+  std::uint64_t transport_ns() const { return transport_ns_; }
+  std::uint64_t telemetry_ns() const { return telemetry_ns_; }
+
  private:
   NetworkConfig cfg_;
   std::vector<std::unique_ptr<control::ShardedSystem>> nodes_;
   std::vector<std::vector<Packet>> induced_;
   std::vector<IntHeader> headers_;
   NetRunStats stats_;
+  std::uint64_t transport_ns_ = 0;
+  std::uint64_t telemetry_ns_ = 0;
   bool ran_ = false;
 };
+
+/// Net layer metrics (docs/OBSERVABILITY.md), ADDED into `reg` like every
+/// control::export_*: NetRunStats as deterministic pq_net_* counters, plus
+/// the two per-pass wall times (pq_net_transport_ns, pq_net_telemetry_ns)
+/// timing-tagged, so they stay out of the IncludeTimings::kNo view.
+void export_network_metrics(obs::MetricsRegistry& reg,
+                            const NetworkEngine& net);
+
+/// Every node's control::collect_system_metrics merged in switch-index
+/// order, plus export_network_metrics — what pq_net --metrics-out writes.
+obs::MetricsRegistry collect_network_metrics(const NetworkEngine& net);
 
 }  // namespace pq::net

@@ -2,51 +2,22 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "common/hash.h"
-#include "common/thread_pin.h"
+#include "common/worker_pool.h"
 
 namespace pq::sim {
 
 namespace {
 
-/// Runs fn(0..tasks) across up to `workers` threads, caller participating.
-/// Task claim order is nondeterministic; callers must make per-task work
-/// independent (disjoint output ranges).
-template <typename Fn>
-void parallel_for(std::size_t tasks, unsigned workers, Fn&& fn) {
-  if (workers <= 1 || tasks <= 1) {
-    for (std::size_t i = 0; i < tasks; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  auto body = [&] {
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < tasks; i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  };
-  const std::size_t spawned =
-      std::min<std::size_t>(workers, tasks) - 1;  // caller is a worker too
-  std::vector<std::thread> pool;
-  pool.reserve(spawned);
-  for (std::size_t t = 0; t < spawned; ++t) pool.emplace_back(body);
-  body();
-  for (auto& t : pool) t.join();
-}
-
 /// Computes forwarding decisions for packets[begin, end) into dest[] and
 /// per-shard counts. The default dst-hash decision runs the mix64 finalizer
 /// column-wise over 256-key chunks (bit-identical to per-packet calls); a
-/// custom function goes through std::function per packet. Returns false on
-/// an out-of-range port (the caller throws — this may run off-thread).
-bool fill_destinations(const std::vector<Packet>& packets, std::size_t begin,
+/// custom function goes through std::function per packet. Throws
+/// std::out_of_range on an out-of-range port.
+void fill_destinations(const std::vector<Packet>& packets, std::size_t begin,
                        std::size_t end, std::size_t n, bool default_fwd,
                        const std::function<std::uint32_t(const Packet&)>& fwd,
                        std::uint32_t* dest, std::size_t* counts) {
@@ -65,15 +36,16 @@ bool fill_destinations(const std::vector<Packet>& packets, std::size_t begin,
         ++counts[s];
       }
     }
-    return true;
+    return;
   }
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint32_t out = fwd(packets[i]);
-    if (out >= n) return false;
+    if (out >= n) {
+      throw std::out_of_range("forwarding returned an invalid port");
+    }
     dest[i] = out;
     ++counts[out];
   }
-  return true;
 }
 
 bool arrival_sorted(const std::vector<Packet>& packets) {
@@ -120,11 +92,8 @@ std::vector<std::vector<Packet>> ShardedEngine::partition(
   // every shard exactly one allocation.
   std::vector<std::uint32_t> dest(packets.size());
   std::vector<std::size_t> counts(num_ports, 0);
-  if (!fill_destinations(packets, 0, packets.size(), num_ports,
-                         /*default_fwd=*/false, fwd, dest.data(),
-                         counts.data())) {
-    throw std::out_of_range("forwarding returned an invalid port");
-  }
+  fill_destinations(packets, 0, packets.size(), num_ports,
+                    /*default_fwd=*/false, fwd, dest.data(), counts.data());
   std::vector<std::vector<Packet>> shards(num_ports);
   for (std::size_t s = 0; s < num_ports; ++s) shards[s].reserve(counts[s]);
   for (std::size_t i = 0; i < packets.size(); ++i) {
@@ -157,16 +126,11 @@ std::vector<std::vector<Packet>> ShardedEngine::partition_parallel(
   std::vector<std::uint32_t> dest(total);
   std::vector<std::vector<std::size_t>> counts(
       num_chunks, std::vector<std::size_t>(n, 0));
-  std::atomic<bool> ok{true};
-  parallel_for(num_chunks, workers, [&](std::size_t c) {
-    if (!fill_destinations(packets, bounds[c], bounds[c + 1], n, default_fwd_,
-                           fwd_, dest.data(), counts[c].data())) {
-      ok.store(false, std::memory_order_relaxed);
-    }
+  const PoolOptions pool{workers, /*pin=*/false};
+  parallel_for(num_chunks, pool, [&](std::size_t c) {
+    fill_destinations(packets, bounds[c], bounds[c + 1], n, default_fwd_, fwd_,
+                      dest.data(), counts[c].data());
   });
-  if (!ok.load(std::memory_order_relaxed)) {
-    throw std::out_of_range("forwarding returned an invalid port");
-  }
 
   // Exclusive prefix over chunks gives each (chunk, shard) pair its write
   // window; earlier chunks write earlier slots, so per-shard arrival order
@@ -183,7 +147,7 @@ std::vector<std::vector<Packet>> ShardedEngine::partition_parallel(
   }
 
   // Pass 2 (parallel over chunks): scatter into the reserved windows.
-  parallel_for(num_chunks, workers, [&](std::size_t c) {
+  parallel_for(num_chunks, pool, [&](std::size_t c) {
     std::vector<std::size_t> cur = offsets[c];
     for (std::size_t i = bounds[c]; i < bounds[c + 1]; ++i) {
       shards[dest[i]][cur[dest[i]]++] = packets[i];
@@ -229,43 +193,13 @@ void ShardedEngine::run_partitioned(std::vector<std::vector<Packet>> shards,
 
 void ShardedEngine::run_shards(std::vector<std::vector<Packet>>&& shards,
                                const RunOptions& opts) {
-  const unsigned workers = std::max(
-      1u, std::min<unsigned>(opts.threads,
-                             static_cast<unsigned>(ports_.size())));
-  worker_cpus_.assign(workers, -1);
-  if (workers == 1) {
-    for (std::size_t p = 0; p < ports_.size(); ++p) {
-      drain_shard(p, shards[p], opts.batch);
-    }
-    return;
-  }
-
   // Work-stealing over shard indices: shards are mutually independent, so
   // the claim order (the only scheduling nondeterminism) cannot affect any
-  // shard's result. A worker that throws keeps claiming shards, so every
-  // shard is still drained; the first exception is rethrown on the caller
-  // thread after the join.
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr err;
-  auto worker = [&](unsigned t) {
-    if (opts.pin_threads) worker_cpus_[t] = pin_current_thread(t);
-    for (std::size_t p = next.fetch_add(1, std::memory_order_relaxed);
-         p < ports_.size();
-         p = next.fetch_add(1, std::memory_order_relaxed)) {
-      try {
-        drain_shard(p, shards[p], opts.batch);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(err_mu);
-        if (!err) err = std::current_exception();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker, t);
-  for (auto& t : pool) t.join();
-  if (err) std::rethrow_exception(err);
+  // shard's result. Every shard is drained even if a hook throws; the first
+  // exception is rethrown here after the join.
+  worker_cpus_ = parallel_for(
+      ports_.size(), PoolOptions{opts.threads, opts.pin_threads},
+      [&](std::size_t p) { drain_shard(p, shards[p], opts.batch); });
 }
 
 void ShardedEngine::drain_shard(std::size_t p, const std::vector<Packet>& shard,

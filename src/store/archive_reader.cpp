@@ -1,15 +1,14 @@
 #include "store/archive_reader.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/hash.h"
+#include "common/worker_pool.h"
 #include "store/block_codec_v2.h"
 #include "wire/bytes.h"
 
@@ -246,29 +245,13 @@ ArchiveReader::ArchiveReader(const std::string& dir, ReaderOptions opts)
   std::vector<std::pair<std::uint32_t, std::vector<std::string>>> jobs(
       port_segments.begin(), port_segments.end());
   std::vector<PortScanResult> results(jobs.size());
-  const std::size_t workers = std::min<std::size_t>(
-      std::max(1u, opts_.threads), jobs.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = scan_port_files(jobs[i].first, jobs[i].second,
-                                   opts_.seek_index_stride);
-    }
-  } else {
-    // Whole-port work stealing: a port's chain is one job, so each result
-    // slot is written by exactly one worker and merge order is fixed.
-    std::atomic<std::size_t> next{0};
-    const auto work = [&] {
-      for (std::size_t i; (i = next.fetch_add(1)) < jobs.size();) {
-        results[i] = scan_port_files(jobs[i].first, jobs[i].second,
-                                     opts_.seek_index_stride);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 0; w + 1 < workers; ++w) pool.emplace_back(work);
-    work();
-    for (auto& t : pool) t.join();
-  }
+  // Whole-port work stealing: a port's chain is one job, so each result
+  // slot is written by exactly one worker and merge order is fixed.
+  parallel_for(jobs.size(), PoolOptions{opts_.threads, false},
+               [&](std::size_t i) {
+                 results[i] = scan_port_files(jobs[i].first, jobs[i].second,
+                                              opts_.seek_index_stride);
+               });
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     auto& r = results[i];
     stats_.segments_opened += r.stats.segments_opened;

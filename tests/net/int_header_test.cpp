@@ -51,7 +51,8 @@ Topology chain3() {
   for (std::uint32_t s = 0; s < 3; ++s) {
     SwitchConfig sw;
     sw.id = s;
-    sw.name = "c" + std::to_string(s);
+    sw.name = "c";
+    sw.name += std::to_string(s);
     sw.ports.resize(2);
     for (std::uint32_t p = 0; p < 2; ++p) sw.ports[p].port_id = p;
     t.switches.push_back(sw);

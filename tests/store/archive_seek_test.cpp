@@ -315,7 +315,9 @@ TEST(ArchiveWindowOrder, ShardedRunAppendsCheckpointsInTimeOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Formats, ArchiveSeek, ::testing::Values(1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "v" + std::to_string(info.param);
+                           std::string name = "v";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

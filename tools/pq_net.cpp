@@ -12,6 +12,11 @@
 //          [--leaves L] [--spines S] [--hosts H] [--k K]
 //          [--senders N] [--gbps G] [--ms N] [--seed S]
 //          [--threads T] [--batch B] [--top-k K] [--out report.json]
+//          [--metrics-out metrics.json]
+//
+// --threads sizes the switch-level pool that runs the per-switch telemetry
+// pass. --metrics-out writes every switch's metrics merged with the net
+// layer's pq_net_* counters (docs/OBSERVABILITY.md).
 //
 //   pq_net topo-dump [--topology ...]   # print the resolved topology JSON
 #include <cstdio>
@@ -34,7 +39,8 @@ namespace {
       "              [--topology leafspine|fattree|FILE.json]\n"
       "              [--leaves L] [--spines S] [--hosts H] [--k K]\n"
       "              [--senders N] [--gbps G] [--ms N] [--seed S]\n"
-      "              [--threads T] [--batch B] [--top-k K] [--out FILE]\n");
+      "              [--threads T] [--batch B] [--top-k K] [--out FILE]\n"
+      "              [--metrics-out FILE]\n");
   std::exit(2);
 }
 
@@ -164,6 +170,16 @@ int main(int argc, char** argv) {
     f << json;
   }
   std::fputs(json.c_str(), stdout);
+
+  const char* metrics_out = arg_str(argc, argv, "--metrics-out", nullptr);
+  if (metrics_out != nullptr) {
+    std::ofstream f(metrics_out);
+    f << net::collect_network_metrics(net).to_json();
+    if (!f) {
+      std::fprintf(stderr, "pq_net: cannot write %s\n", metrics_out);
+      return 1;
+    }
+  }
 
   const bool hop_correct =
       report.culprit_switch == sc.expected_culprit_switch &&

@@ -16,26 +16,24 @@
 // (default 256) feeds each shard in PacketBatch chunks through the batched
 // hot path (results are byte-identical for any N and any batch size —
 // see docs/ARCHITECTURE.md §8/§10; `--batch 1` is the scalar oracle).
-// `--pin-threads` pins each worker to a CPU round-robin (best effort; the
-// effective placement lands in --metrics-out as timing-tagged gauges and
-// never affects results).
+// `--pin-threads` pins each worker to a CPU round-robin when more than one
+// runs (best effort; the effective placement lands in --metrics-out as
+// timing-tagged gauges and never affects results).
 // `--archive-dir` additionally streams every shard's telemetry into a
 // crash-safe pq::store archive (docs/STORAGE.md) that pq_query can answer
 // the same culprit queries from after the process is gone.
 // Prints the victim's direct, indirect, and original culprits with
 // ground-truth accuracy against the victim port's records.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/simd/dispatch.h"
-#include "common/thread_pin.h"
+#include "common/worker_pool.h"
 #include "control/metrics_export.h"
 #include "control/register_records.h"
 #include "control/sharded_analysis.h"
@@ -207,45 +205,30 @@ int main(int argc, char** argv) {
   const auto batch = std::max(
       1u, static_cast<unsigned>(arg_double(argc, argv, "--batch", 256)));
   const bool pin_threads = arg_flag(argc, argv, "--pin-threads");
-  const unsigned workers = std::min<unsigned>(
-      threads, static_cast<unsigned>(pipeline.num_shards()));
-  std::vector<int> worker_cpus(workers, -1);
-  std::atomic<std::uint32_t> next{0};
-  auto replay_shards = [&](unsigned worker_index) {
-    if (pin_threads) {
-      worker_cpus[worker_index] = pin_current_thread(worker_index);
-    }
-    for (std::uint32_t s = next.fetch_add(1); s < pipeline.num_shards();
-         s = next.fetch_add(1)) {
-      auto& shard = pipeline.shard(s);
-      if (batch <= 1) {
-        // The scalar oracle path: one on_egress per record.
-        for (const auto& r : shard_records[s]) shard.on_egress(to_context(r));
-      } else {
-        sim::PacketBatch pb;
-        pb.reserve(batch);
-        for (const auto& r : shard_records[s]) {
-          pb.push(to_context(r));
-          if (pb.size() >= batch) {
-            shard.on_egress_batch(pb);
-            pb.clear();
+  const std::vector<int> worker_cpus = parallel_for(
+      pipeline.num_shards(), PoolOptions{threads, pin_threads},
+      [&](std::size_t s) {
+        auto& shard = pipeline.shard(static_cast<std::uint32_t>(s));
+        if (batch <= 1) {
+          // The scalar oracle path: one on_egress per record.
+          for (const auto& r : shard_records[s]) {
+            shard.on_egress(to_context(r));
           }
+        } else {
+          sim::PacketBatch pb;
+          pb.reserve(batch);
+          for (const auto& r : shard_records[s]) {
+            pb.push(to_context(r));
+            if (pb.size() >= batch) {
+              shard.on_egress_batch(pb);
+              pb.clear();
+            }
+          }
+          if (!pb.empty()) shard.on_egress_batch(pb);
         }
-        if (!pb.empty()) shard.on_egress_batch(pb);
-      }
-      analysis.program(s).finalize(
-          shard_records[s].back().deq_timestamp() + 1);
-    }
-  };
-  if (workers == 1) {
-    replay_shards(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < workers; ++t) {
-      pool.emplace_back(replay_shards, t);
-    }
-    for (auto& t : pool) t.join();
-  }
+        analysis.program(static_cast<std::uint32_t>(s))
+            .finalize(shard_records[s].back().deq_timestamp() + 1);
+      });
 
   if (archive) {
     archive->close();
@@ -302,7 +285,7 @@ int main(int argc, char** argv) {
               records.size(),
               static_cast<double>(truth.records_by_deq().back().deq_timestamp()) / 1e6,
               pipeline.num_shards(), pipeline.num_shards() == 1 ? "" : "s",
-              workers);
+              static_cast<unsigned>(worker_cpus.size()));
   std::printf("victim: %s on port %u, enq %.3f ms, queued %.1f us, "
               "depth %u cells\n",
               to_string(victim->flow).c_str(), egress_port,
@@ -341,7 +324,7 @@ int main(int argc, char** argv) {
     // enters the deterministic (IncludeTimings::kNo) view.
     if (pin_threads) {
       std::uint64_t pinned = 0;
-      for (unsigned t = 0; t < workers; ++t) {
+      for (std::size_t t = 0; t < worker_cpus.size(); ++t) {
         if (worker_cpus[t] < 0) continue;
         ++pinned;
         metrics
